@@ -1,5 +1,9 @@
 // Benchmarks mirroring every table and figure of the paper's evaluation
-// (§6), plus ablations for the design choices called out in DESIGN.md.
+// (§6), plus ablations of three design choices: GraphDist's forward/reverse
+// balance, the landmark count and the landmark selection strategy. None of
+// them changes a result; every method here is exact (AIS's resolve step
+// and the bidirectional stopping rule carry their exactness arguments in
+// internal/core/graphdist.go and internal/graph/bidirectional.go).
 // These run at a small fixed scale so `go test -bench=.` stays minutes-
 // bounded; cmd/ssrq-bench runs the full parameter sweeps at configurable
 // scales and prints paper-style tables.
@@ -17,8 +21,8 @@ import (
 	"ssrq/internal/gen"
 	"ssrq/internal/graph"
 	"ssrq/internal/landmark"
-	"ssrq/internal/spatial"
 	"ssrq/internal/shard"
+	"ssrq/internal/spatial"
 )
 
 const (
@@ -291,17 +295,20 @@ func BenchmarkFig14bScalability(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices from DESIGN.md §4) ---
+// --- Ablations (design choices that trade speed only, never exactness) ---
 
 // BenchmarkAblationFwdEvery varies GraphDist's forward/reverse balance
-// (Algorithm 3 alternates 1:1; larger values starve the shared forward
-// search — see the delayed-evaluation discussion in EXPERIMENTS.md).
+// (Algorithm 3 alternates 1:1) on AIS⁻, the only method that still runs
+// reverse searches. AIS resolves its candidates on the shared forward
+// search alone, so FwdEvery does not affect it. A larger value grows the
+// forward tree more slowly, which leaves each reverse search more to do
+// before the two meet.
 func BenchmarkAblationFwdEvery(b *testing.B) {
 	for _, fe := range []int{1, 2, 4} {
 		fe := fe
 		be := getEngine(b, "gowalla", func(o *core.Options) { o.FwdEvery = fe })
 		b.Run(fmt.Sprintf("fwdEvery=%d", fe), func(b *testing.B) {
-			benchQueries(b, be, core.AIS, exp.DefaultK, exp.DefaultAlpha)
+			benchQueries(b, be, core.AISMinus, exp.DefaultK, exp.DefaultAlpha)
 		})
 	}
 }

@@ -210,10 +210,16 @@ func (e *Engine) logWrite(ops []core.Update) {
 // Flush then drains the async pipelines through to publication, and the
 // export snapshot covers everything ≤ s. No-op error when the engine is
 // not durable.
+//
+// Checkpoints run one at a time: an explicit call and a background one at
+// the same s would otherwise both write checkpoint-<s>.ckpt.tmp, and one of
+// the two renames would fail.
 func (e *Engine) Checkpoint() error {
 	if e.log == nil {
 		return fmt.Errorf("ssrq: engine has no durability configured")
 	}
+	e.ckptMu.Lock()
+	defer e.ckptMu.Unlock()
 	s := e.log.LastSeq()
 	e.eng.MutationBarrier()
 	e.eng.Flush()

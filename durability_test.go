@@ -356,6 +356,58 @@ func TestCheckpointRecoveryEquivalence(t *testing.T) {
 	requireSameResults(t, rec, twin, 23)
 }
 
+// TestCheckpointExplicitRacesBackground races explicit checkpoints against
+// the background one at the same log position: with CheckpointEveryOps = 1
+// each move starts a background checkpoint at its seq, and two explicit
+// calls follow at once with no write in between. Every one of them must
+// install its file, so the checkpoint count grows by three per round.
+func TestCheckpointExplicitRacesBackground(t *testing.T) {
+	ds, err := Synthesize("gowalla", 200, 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(ds, &Options{Durability: &DurabilityOptions{
+		Dir: t.TempDir(), Fsync: "off", CheckpointEveryOps: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const explicit = 2
+	rounds := 0
+	for _, op := range genCrashOps(ds, 60, 17) {
+		if op.kind != 0 {
+			continue
+		}
+		before := eng.DurabilityStats().Checkpoints
+		if err := op.apply(eng); err != nil {
+			t.Fatal(err)
+		}
+		seq := eng.WALLastSeq()
+		errs := make(chan error, explicit)
+		for range explicit {
+			go func() { errs <- eng.Checkpoint() }()
+		}
+		for range explicit {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: explicit checkpoint: %v", rounds, err)
+			}
+		}
+		eng.walWG.Wait() // the background checkpoint started by the move
+		st := eng.DurabilityStats()
+		if got := st.Checkpoints - before; got != explicit+1 {
+			t.Fatalf("round %d: %d checkpoints installed at seq %d, want %d", rounds, got, seq, explicit+1)
+		}
+		if st.CheckpointSeq != seq {
+			t.Fatalf("round %d: checkpoint seq %d, want %d", rounds, st.CheckpointSeq, seq)
+		}
+		rounds++
+	}
+	if rounds == 0 {
+		t.Fatal("no move in the op stream — test exercised nothing")
+	}
+}
+
 // TestRecoveredEngineServesSubscriptions verifies the subscription layer
 // composes with recovery: a recovered engine accepts standing queries and
 // pushes deltas for post-recovery churn.

@@ -89,7 +89,7 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 			st.LabelCellPrunes++
 			continue
 		}
-		dLow := layout.CellRect(0, idx).MinDist(qpt)
+		dLow := layout.CellRegion(0, idx).MinDist(qpt)
 		if key := combine(alpha, p.cellLow[idx], dLow); finite(key) {
 			h.Push(key, aisTie(0, idx), aisItem{0, idx})
 		}
@@ -115,7 +115,7 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 					continue
 				}
 				pLow := sn.SocialLowerBound(level+1, c, qvec)
-				dLow := layout.CellRect(level+1, c).MinDist(qpt)
+				dLow := layout.CellRegion(level+1, c).MinDist(qpt)
 				if key := combine(alpha, pLow, dLow); finite(key) {
 					h.Push(key, aisTie(int16(level+1), c), aisItem{int16(level + 1), c})
 				}
@@ -153,22 +153,22 @@ func (e *Engine) runAIS(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Poi
 			u := item.Value.idx
 			st.IndexUserPops++
 			d := g.Point(u).Dist(qpt)
-			if cfg.delayed {
-				// §5.3: if the shared forward search has advanced past this
-				// user's landmark bound, push it back with the tighter
-				// β-based key instead of paying an exact evaluation.
-				if _, known := gd.known(u); !known {
-					if key := combine(alpha, gd.beta(), d); key > item.Key {
-						st.Reinserts++
-						h.Push(key, aisTie(aisUser, u), aisItem{aisUser, u})
-						continue
-					}
-				}
-			}
 			var pd float64
-			if gd != nil {
+			switch {
+			case cfg.delayed:
+				// §5.3: advance the shared forward search until it settles
+				// u, or until its β-based key passes this pop; then push u
+				// back with that tighter key instead of searching for it.
+				pv, key, exact := gd.resolve(u, alpha, d, item.Key)
+				if !exact {
+					st.Reinserts++
+					h.Push(key, aisTie(aisUser, u), aisItem{aisUser, u})
+					continue
+				}
+				pd = pv
+			case gd != nil:
 				pd = gd.dist(u)
-			} else {
+			default:
 				pd = fb.dist(u)
 			}
 			r.Consider(Entry{ID: u, F: combine(alpha, pd, d), P: pd, D: d})

@@ -224,14 +224,91 @@ func TestGraphDistBetaMonotone(t *testing.T) {
 	pools := e.getPools()
 	defer e.putPools(pools)
 	gd := newGraphDist(ds.G, e.lm, q, pools.rev, &st)
-	prev := gd.beta()
+	prev := gd.fwd.LastKey()
 	for probe := 0; probe < 30; probe++ {
 		gd.dist(graph.VertexID(rng.Intn(100)))
-		if b := gd.beta(); b < prev {
+		if b := gd.fwd.LastKey(); b < prev {
 			t.Fatalf("beta decreased: %v -> %v", prev, b)
 		} else {
 			prev = b
 		}
+	}
+}
+
+// TestGraphDistResolve pins the three outcomes of AIS's delayed evaluation
+// step: an unresolved vertex comes back with an admissible key strictly
+// above the popped one, a settled vertex returns its exact distance without
+// another pop, and a vertex outside the query's component returns +Inf once
+// the forward search has settled that whole component. No reverse search
+// runs.
+func TestGraphDistResolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ds := mkDataset(t, rng, 120, 0, true)
+	e := mkEngine(t, ds, Options{})
+	q := graph.VertexID(0)
+	want := ds.G.DistancesFrom(q)
+	reachable, resolved := 0, 0
+	for _, w := range want {
+		if !math.IsInf(w, 1) {
+			reachable++
+		}
+	}
+	const alpha, d = 0.4, 0.25
+	var st Stats
+	pools := e.getPools()
+	defer e.putPools(pools)
+
+	for v := range graph.VertexID(ds.NumUsers()) {
+		if math.IsInf(want[v], 1) || want[v] == 0 {
+			continue
+		}
+		gd := newGraphDist(ds.G, e.lm, q, pools.rev, &st)
+		// Pop v at a key below its true score, then keep pushing it back
+		// with the returned key, as AIS does, until it resolves.
+		popped := combine(alpha, 0, d)
+		for {
+			p, key, exact := gd.resolve(v, alpha, d, popped)
+			if exact {
+				if math.Abs(p-want[v]) > 1e-9 {
+					t.Fatalf("resolve(%d) = %v, want %v", v, p, want[v])
+				}
+				break
+			}
+			if !(key > popped) {
+				t.Fatalf("resolve(%d): push-back key %v not above popped %v", v, key, popped)
+			}
+			if f := combine(alpha, want[v], d); key > f+1e-12 {
+				t.Fatalf("resolve(%d): push-back key %v exceeds f = %v", v, key, f)
+			}
+			popped = key
+		}
+		// Settled now: the exact distance comes back without a pop.
+		pops := st.SocialPops
+		if p, _, exact := gd.resolve(v, alpha, d, popped); !exact || math.Abs(p-want[v]) > 1e-9 || st.SocialPops != pops {
+			t.Fatalf("settled resolve(%d) = %v, exact=%v, %d pops; want %v, no pops", v, p, exact, st.SocialPops-pops, want[v])
+		}
+		resolved++
+	}
+	if resolved == 0 {
+		t.Fatal("no reachable target — test exercised nothing")
+	}
+
+	// A vertex of the other component: +Inf, after settling q's side.
+	gd := newGraphDist(ds.G, e.lm, q, pools.rev, &st)
+	for u := range graph.VertexID(ds.NumUsers()) {
+		if !math.IsInf(want[u], 1) {
+			continue
+		}
+		if p, _, exact := gd.resolve(u, alpha, d, math.MaxFloat64); !exact || !math.IsInf(p, 1) {
+			t.Fatalf("resolve(%d) across components = %v, exact=%v; want +Inf", u, p, exact)
+		}
+		if gd.fwd.Pops() != reachable {
+			t.Fatalf("+Inf after %d forward pops, component has %d vertices", gd.fwd.Pops(), reachable)
+		}
+		break
+	}
+	if st.ReversePops != 0 {
+		t.Fatalf("resolve ran %d reverse pops", st.ReversePops)
 	}
 }
 

@@ -91,9 +91,11 @@ type Options struct {
 	// CacheT is the t of §5.4: how many socially-nearest users the
 	// pre-computation list holds per query user (default 1000).
 	CacheT int
-	// FwdEvery throttles GraphDist's shared forward search: one forward
-	// pop per FwdEvery reverse pops (default 1 = Algorithm 3's strict
-	// alternation). See the graphdist ablation benchmark.
+	// FwdEvery throttles GraphDist's shared forward search during AIS⁻'s
+	// exact evaluations: one forward pop per FwdEvery reverse pops
+	// (default 1 = Algorithm 3's strict alternation). AIS runs no reverse
+	// search, so it ignores FwdEvery; AIS-BID has its own searches. See
+	// BenchmarkAblationFwdEvery.
 	FwdEvery int
 	// UpdateQueueCap bounds the asynchronous update queue fed by
 	// MoveUserAsync; a full queue applies backpressure (default 4096).

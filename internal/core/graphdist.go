@@ -16,9 +16,9 @@ import (
 //     lying on a previously reconstructed shortest path (table T), answer
 //     without any search.
 //
-// The reverse search is a landmark A* from the target toward the query
-// vertex. Its head key certifies termination (see the correctness argument
-// in DESIGN.md §4 — the same stopping rule as Algorithm 3 line 7).
+// AIS uses it through resolve, which only advances the forward search.
+// AIS⁻ uses dist, which adds a reverse landmark A* from the target toward
+// the query vertex, stopped by the rule of Algorithm 3 line 7 (see dist).
 type graphDist struct {
 	g        *graph.Graph
 	lm       *landmark.Set
@@ -28,11 +28,10 @@ type graphDist struct {
 	hToQ     graph.Heuristic
 	pathDist map[graph.VertexID]float64 // table T: distance-from-q of path members
 	st       *Stats
-	// fwdEvery throttles how often the shared forward search advances: one
-	// forward pop per fwdEvery reverse pops. Algorithm 3 alternates 1:1;
-	// a larger value spends less on speculative forward growth (the
-	// reverse searches are landmark-guided and cheap) at the price of a
-	// slower-growing β for delayed evaluation. See the gdfwd ablation bench.
+	// fwdEvery throttles how often dist advances the shared forward
+	// search: one forward pop per fwdEvery reverse pops. Algorithm 3
+	// alternates 1:1; a larger value spends less on forward growth and
+	// more on each reverse search. See BenchmarkAblationFwdEvery.
 	fwdEvery int
 	iter     int
 }
@@ -71,10 +70,45 @@ func (gd *graphDist) reset(g *graph.Graph, lm *landmark.Set, q graph.VertexID,
 	}
 }
 
-// beta is the §5.3 bound: the distance of the last vertex settled by the
-// shared forward search, lower-bounding p(v_q, v) for every vertex the
-// forward search has not visited.
-func (gd *graphDist) beta() float64 { return gd.fwd.LastKey() }
+// resolve is AIS's delayed evaluation (§5.3) of candidate v, popped from the
+// branch-and-bound heap with key popped and spatial distance d. It advances
+// the shared forward Dijkstra until one of three things happens:
+//
+//   - v is settled: exact reports its distance p;
+//   - the query's component is exhausted without v: exact reports +Inf;
+//   - combine(alpha, β, d) exceeds popped, where β is the forward head key:
+//     exact is false and key is that strictly larger lower bound, with
+//     which the caller pushes v back.
+//
+// Exactness: the forward search is plain Dijkstra, so its head key lower-
+// bounds p(v_q, x) for every unsettled x, and combine is monotone in p; the
+// returned key is therefore admissible for f(v), and it lies strictly above
+// popped, so every push-back makes progress. No reverse search runs: every
+// candidate is answered by the one forward search all candidates share.
+// Only an exact answer counts as a GraphDist call.
+func (gd *graphDist) resolve(v graph.VertexID, alpha, d, popped float64) (p, key float64, exact bool) {
+	if pv, ok := gd.known(v); ok {
+		gd.st.GraphDistCalls++
+		return pv, 0, true
+	}
+	for {
+		beta, ok := gd.fwd.HeadKey()
+		if !ok {
+			// The query's component is fully settled and v is not in it.
+			gd.st.GraphDistCalls++
+			return graph.Infinity, 0, true
+		}
+		if key := combine(alpha, beta, d); key > popped {
+			return 0, key, false
+		}
+		x, px, _ := gd.fwd.Next()
+		gd.st.SocialPops++
+		if x == v {
+			gd.st.GraphDistCalls++
+			return px, 0, true
+		}
+	}
+}
 
 // known returns the exact distance when it is available for free — from the
 // forward settled set or the path table T.
@@ -88,7 +122,25 @@ func (gd *graphDist) known(v graph.VertexID) (float64, bool) {
 	return 0, false
 }
 
-// dist computes the exact social distance p(v_q, v) — Algorithm 3.
+// dist computes the exact social distance p(v_q, v) — Algorithm 3, for
+// AIS⁻. It alternates the shared forward Dijkstra with a reverse landmark
+// A* from v, whose heuristic to v_q is consistent, so both searches settle
+// exact labels. A reverse pop of a forward-settled vertex records the
+// meeting path and is not expanded (Algorithm 3 line 18). minDist starts at
+// the landmark upper bound, the length of a real q→landmark→v path, and
+// only ever drops to the length of another real path.
+//
+// Exactness: let P be a shortest q–v path of length D, and suppose
+// minDist > D. Walking P from q, the first vertex x the forward search has
+// not settled is labeled exactly, so the forward head key is at most
+// p(v_q, x) ≤ D. (If there is no such x, v is settled and known answered.)
+// Walking P from v, take the first vertex z that the reverse search has
+// not expanded. z was not popped unexpanded: it would have been
+// forward-settled then, and its meeting would have recorded D. So z sits
+// in the reverse frontier with its exact label, and the reverse head key
+// is at most g(z) + h(z) ≤ D. Neither head key reaches minDist and the
+// reverse frontier is not empty, so the loop cannot stop while
+// minDist > D. When it stops, minDist = D (+Inf when v is unreachable).
 func (gd *graphDist) dist(v graph.VertexID) float64 {
 	gd.st.GraphDistCalls++
 	if v == gd.q {
@@ -105,10 +157,8 @@ func (gd *graphDist) dist(v graph.VertexID) float64 {
 	rev := gd.revPool.NewSearch(gd.g, v, gd.hToQ)
 	// A realized landmark detour (q→landmark→v) seeds the best-known
 	// distance, letting many reverse searches certify termination after a
-	// handful of pops (an ALT-style strengthening of Algorithm 3; exactness
-	// argument in DESIGN.md §4: at termination minDist equals the true
-	// distance whenever any path of length minDist exists, and the landmark
-	// detour is such a path).
+	// handful of pops (an ALT-style strengthening of Algorithm 3; it is
+	// exact because the detour is a real path, see above).
 	minDist := gd.lm.UpperBound(gd.q, v)
 	meet := graph.VertexID(-1)
 

@@ -18,8 +18,18 @@ type BidirectionalResult struct {
 // hF must lower-bound the remaining distance to t; hR must lower-bound the
 // remaining distance to s. Stopping rule: with consistent heuristics, once
 // best ≤ the head key of either frontier, no undiscovered path can beat
-// best (see DESIGN.md §4 and Algorithm 3 of the paper, which stops on the
-// reverse head key alone).
+// best (Algorithm 3 of the paper stops on the reverse head key alone).
+//
+// Why: consistent heuristics make every settled label exact. Let P be a
+// shortest s–t path of length D and suppose best > D. Forward: the first
+// vertex x of P the forward search has not settled is labeled exactly, so
+// the forward head key is at most g(x) + hF(x) ≤ D < best. If there is no
+// such x, the forward search settled t after the reverse search did (on
+// its first pop), and that meeting set best = D. Reverse: walking P from
+// t, take the first vertex z the reverse search has not expanded. Either z
+// was popped while forward-settled, and its meeting set best = D, or z is
+// in the reverse frontier with its exact label, so the reverse head key is
+// at most g(z) + hR(z) ≤ D < best. So neither test fires while best > D.
 func BidirectionalDijkstra(g *Graph, s, t VertexID, hF, hR Heuristic, fwdPool, revPool *AStarPool) BidirectionalResult {
 	if s == t {
 		return BidirectionalResult{Dist: 0, Meeting: s}

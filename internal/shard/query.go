@@ -41,11 +41,13 @@ const (
 // observes one consistent epoch per shard (not one global epoch — the
 // cross-shard view is only as consistent as independently-published indexes
 // can be, and the merge deduplicates the one anomaly that can cause, a
-// mid-relocation user visible twice). Once the engine is quiescent (Flush),
-// results are exactly the monolithic engine's, ID tiebreaks included: the
-// shared threshold only ever holds some shard's fully-evaluated kth score (an
-// upper bound on the merged kth), it abandons only strictly-worse candidates,
-// and the merge comparator is the engines' own (F, ID) order.
+// mid-relocation user visible twice). The snapshots are loaded together as
+// one cut (queryCut), so a rebalance drain never hides a cell's users. Once
+// the engine is quiescent (Flush), results are exactly the monolithic
+// engine's, ID tiebreaks included: the shared threshold only ever holds
+// some shard's fully-evaluated kth score (an upper bound on the merged
+// kth), it abandons only strictly-worse candidates, and the merge
+// comparator is the engines' own (F, ID) order.
 func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) (*core.Result, error) {
 	if err := prm.Validate(); err != nil {
 		return nil, err
@@ -53,10 +55,11 @@ func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) 
 	if q < 0 || int(q) >= se.ds.NumUsers() {
 		return nil, fmt.Errorf("shard: query user %d out of range [0,%d)", q, se.ds.NumUsers())
 	}
-	home, hsn := se.locateHome(q, true)
+	snaps, home := se.queryCut(q)
 	if home < 0 {
 		return nil, fmt.Errorf("shard: query user %d has no known location", q)
 	}
+	hsn := snaps[home]
 	qpt := hsn.Grid().Point(q)
 
 	// The live global threshold. The home-shard search publishes its kth
@@ -83,7 +86,7 @@ func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) 
 		if s == home {
 			continue
 		}
-		sn := se.shards[s].Snapshot()
+		sn := snaps[s]
 		if sn.Grid().NumLocated() == 0 {
 			outcomes[s] = outEmpty
 			continue
@@ -162,31 +165,70 @@ func (se *Engine) Query(algo core.Algorithm, q graph.VertexID, prm core.Params) 
 	}, nil
 }
 
+// queryCut loads one snapshot per shard under drainMu's read side, so no
+// cell drain falls between two of the loads, and returns them with the
+// index of the one that locates q (-1 when q has no location). When the
+// cut misses q — a mid-relocation querier — locateHome waits the
+// relocation out and the cut is taken again.
+func (se *Engine) queryCut(q graph.VertexID) ([]*aggindex.Snapshot, int) {
+	snaps := make([]*aggindex.Snapshot, len(se.shards))
+	for try := 0; ; try++ {
+		se.drainMu.RLock()
+		for s, sh := range se.shards {
+			snaps[s] = sh.Snapshot()
+		}
+		se.drainMu.RUnlock()
+		if o := se.owner[q].Load(); o >= 0 && snaps[o].Grid().Located(q) {
+			return snaps, int(o)
+		}
+		for s, sn := range snaps {
+			if sn.Grid().Located(q) {
+				return snaps, s
+			}
+		}
+		if try == 3 {
+			return snaps, -1
+		}
+		if home, _ := se.locateHome(q, true); home < 0 {
+			return snaps, -1
+		}
+	}
+}
+
 // locateHome finds the shard whose published snapshot locates q, preferring
 // the owner map (the common case) and falling back to a scan for the
 // transient window where a routed move has not yet been applied. A
 // cross-shard move is a remove on one pipeline and an insert on another, so
 // there is a window where *no* snapshot locates a continuously-located
-// mover. With flushPending, when the owner map says a shard should hold q
-// but its snapshot does not yet, the destination pipeline is drained once
-// so a *query* for q never spuriously errors with "no known location" —
-// query paths opt into that bounded wait, while plain reads
-// (UserLocation) stay non-blocking and may transiently miss a
-// mid-relocation user. (Third parties mid-relocation can likewise be
+// mover. With flushPending, a miss waits that window out so a *query* for
+// q never spuriously errors with "no known location": it takes q's routing
+// stripe, which every router of q (async move, sync batch, cell migration)
+// holds until its op is enqueued or applied, reads the owner it left, and
+// drains that shard's pipeline. Query paths opt into that bounded wait,
+// while plain reads (UserLocation) stay non-blocking and may transiently
+// miss a mid-relocation user. (Third parties mid-relocation can likewise be
 // transiently absent from — or, in the inverse interleaving, duplicated
 // across — other users' fan-outs; the merge deduplicates the latter.)
 // Returns (-1, nil) when no shard locates the user. q must be in range.
 func (se *Engine) locateHome(q graph.VertexID, flushPending bool) (int, *aggindex.Snapshot) {
 	if o := se.owner[q].Load(); o >= 0 {
-		sn := se.shards[o].Snapshot()
-		if sn.Grid().Located(q) {
+		if sn := se.shards[o].Snapshot(); sn.Grid().Located(q) {
 			return int(o), sn
 		}
-		if flushPending {
-			// Routed but not yet applied: drain the destination pipeline and
-			// re-read. Rare (only mid-relocation queriers), bounded.
+	}
+	if flushPending {
+		// Routed but not yet applied. A later move of q can re-route it
+		// while this one drains, so retry a few times before the scan.
+		for range 4 {
+			mu := se.lockFor(int32(q))
+			mu.Lock()
+			o := se.owner[q].Load()
+			mu.Unlock()
+			if o < 0 {
+				break
+			}
 			se.shards[o].Flush()
-			if sn = se.shards[o].Snapshot(); sn.Grid().Located(q) {
+			if sn := se.shards[o].Snapshot(); sn.Grid().Located(q) {
 				return int(o), sn
 			}
 		}
@@ -239,7 +281,7 @@ func shardLowerBound(sn *aggindex.Snapshot, q graph.VertexID, qpt spatial.Point,
 		if g.CountAt(0, idx) == 0 {
 			continue
 		}
-		d := layout.CellRect(0, idx).MinDist(qpt)
+		d := layout.CellRegion(0, idx).MinDist(qpt)
 		if f := alpha*lows[idx] + (1-alpha)*d; f < best {
 			best = f
 		}
@@ -271,15 +313,14 @@ func (se *Engine) SpatialKNN(q int32, k int) ([]spatial.Neighbor, error) {
 	if q < 0 || int(q) >= se.ds.NumUsers() {
 		return nil, fmt.Errorf("shard: user %d out of range [0,%d)", q, se.ds.NumUsers())
 	}
-	home, hsn := se.locateHome(q, true)
+	snaps, home := se.queryCut(graph.VertexID(q))
 	if home < 0 {
 		return nil, fmt.Errorf("shard: user %d has no known location", q)
 	}
-	qpt := hsn.Grid().Point(q)
+	qpt := snaps[home].Grid().Point(q)
 	var all []spatial.Neighbor
-	for _, sh := range se.shards {
-		g := sh.Snapshot().Grid()
-		all = append(all, g.KNN(qpt, k, func(id int32) bool { return id == q })...)
+	for _, sn := range snaps {
+		all = append(all, sn.Grid().KNN(qpt, k, func(id int32) bool { return id == q })...)
 	}
 	sortNeighbors(all)
 	out := make([]spatial.Neighbor, 0, k)

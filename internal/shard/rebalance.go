@@ -31,8 +31,10 @@ import (
 //     reverse order would make users transiently invisible, which is a
 //     wrong answer.
 //  3. Each drained user goes through Snapshot()-published epochs on both
-//     shards, so a query always sees either the old epoch (user in the old
-//     shard), the overlap, or the new epoch — never a torn state.
+//     shards, and a query loads all its shard snapshots under drainMu's
+//     read side while the insert and the remove run under its write side,
+//     so a query always sees either the old epoch (user in the old shard),
+//     the overlap, or the new epoch — never a torn state.
 //
 // Close composes with an in-flight rebalance by setting closed under all
 // stripes: the drain loop re-checks closed at every batch boundary (under
@@ -228,7 +230,12 @@ func (se *Engine) migrateCellLocked(c, newS int32) bool {
 	}
 	// Insert into the new owner, repoint routing, then remove from the old:
 	// a concurrent query sees the users in at least one shard at every
-	// instant (both, transiently — MergeTopK dedupes by ID).
+	// instant (both, transiently — MergeTopK dedupes by ID). drainMu makes
+	// the three steps one instant for queries, which load their shard
+	// snapshots one after another: reading the new owner before the insert
+	// and the old owner after the remove would miss the cell's users.
+	se.drainMu.Lock()
+	defer se.drainMu.Unlock()
 	if err := se.shards[newS].ApplyUpdates(inserts); err != nil {
 		// Validation cannot fail here (coordinates come from a published
 		// snapshot); revert routing defensively if it somehow does.

@@ -104,7 +104,11 @@ type Engine struct {
 
 	// Rebalance machinery (see rebalance.go). rebalanceMu serializes
 	// re-cuts; bg tracks the auto-kicked goroutine so Close can wait it out.
+	// drainMu is held for writing across one cell's insert → owner flip →
+	// remove, and for reading while a query loads its shard snapshots, so
+	// no query's snapshots straddle a cell in flight.
 	rebalanceMu   sync.Mutex
+	drainMu       sync.RWMutex
 	bg            sync.WaitGroup
 	opsSinceCheck atomic.Int64
 	rebalances    atomic.Int64

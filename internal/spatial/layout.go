@@ -1,6 +1,9 @@
 package spatial
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Layout is the pure geometry of a multi-level regular grid: L stored
 // levels over a bounding rectangle, where level ℓ (0 = coarsest stored,
@@ -81,6 +84,31 @@ func (l *Layout) CellRect(level int, idx int32) Rect {
 		MaxX: l.Bounds.MinX + float64(ix+1)*w,
 		MaxY: l.Bounds.MinY + float64(iy+1)*h,
 	}
+}
+
+// CellRegion returns the region of points CellIndex maps to cell idx at
+// the given level: CellRect stretched to infinity on every side that lies
+// on the grid's border, because CellIndex clamps points outside the bounds
+// into the border cells. Spatial lower bounds must use this region, not
+// CellRect: its MinDist also bounds the distance to members that moved
+// outside the bounds.
+func (l *Layout) CellRegion(level int, idx int32) Rect {
+	r := l.CellRect(level, idx)
+	dim := l.dims[level]
+	ix, iy := int(idx)%dim, int(idx)/dim
+	if ix == 0 {
+		r.MinX = math.Inf(-1)
+	}
+	if iy == 0 {
+		r.MinY = math.Inf(-1)
+	}
+	if ix == dim-1 {
+		r.MaxX = math.Inf(1)
+	}
+	if iy == dim-1 {
+		r.MaxY = math.Inf(1)
+	}
+	return r
 }
 
 // ParentIndex maps a cell at level ≥ 1 to its parent at level−1.

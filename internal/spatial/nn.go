@@ -62,7 +62,7 @@ func (it *NNIterator) Reset(s *Snapshot, q Point) {
 		if s.counts[top][idx] == 0 {
 			continue
 		}
-		r := s.layout.CellRect(top, idx)
+		r := s.layout.CellRegion(top, idx)
 		it.heap.Push(r.MinDist(q), nnTie(int16(top), idx), nnItem{int16(top), idx})
 	}
 }
@@ -99,7 +99,7 @@ func (it *NNIterator) Next() (id int32, dist float64, ok bool) {
 			if it.s.counts[level+1][c] == 0 {
 				continue
 			}
-			r := it.s.layout.CellRect(level+1, c)
+			r := it.s.layout.CellRegion(level+1, c)
 			it.heap.Push(r.MinDist(it.q), nnTie(int16(level+1), c), nnItem{int16(level + 1), c})
 		}
 	}

@@ -229,6 +229,58 @@ func TestNNMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestNNMatchesBruteForceOutsideBounds: users who moved outside the
+// layout's bounds sit in the border cells CellIndex clamps them into, so
+// each cell's region (CellRegion) must still lower-bound the distance to
+// them, and the NN stream built on those bounds must report them in exact
+// distance order.
+func TestNNMatchesBruteForceOutsideBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	l, err := NewLayout(Rect{0, 0, 100, 100}, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := func() Point { return Point{-60 + 220*rng.Float64(), -60 + 220*rng.Float64()} }
+	for trial := 0; trial < 10; trial++ {
+		n := 50 + rng.Intn(200)
+		pts := make([]Point, n)
+		located := make([]bool, n)
+		for i := range pts {
+			pts[i], located[i] = outside(), true
+		}
+		g, err := NewGrid(l, pts, located)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := outside()
+		for i, p := range pts {
+			for level := 0; level <= l.LeafLevel(); level++ {
+				if d := l.CellRegion(level, l.CellIndex(level, p)).MinDist(q); d > p.Dist(q) {
+					t.Fatalf("trial %d user %d at %v: level-%d region MinDist %v > distance %v", trial, i, p, level, d, p.Dist(q))
+				}
+			}
+		}
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		sort.Slice(ids, func(i, j int) bool {
+			di, dj := pts[ids[i]].Dist(q), pts[ids[j]].Dist(q)
+			if di != dj {
+				return di < dj
+			}
+			return ids[i] < ids[j]
+		})
+		it := g.NewNN(q)
+		for i, want := range ids {
+			id, d, ok := it.Next()
+			if !ok || id != want {
+				t.Fatalf("trial %d pos %d: got (%d,%v,%v), want %d at %v", trial, i, id, d, ok, want, pts[want].Dist(q))
+			}
+		}
+	}
+}
+
 func TestKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, pts, located := mkGrid(t, rng, 200, 6, 2, 0)

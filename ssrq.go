@@ -380,7 +380,8 @@ type Engine struct {
 	log         *wal.Log
 	recovered   *RecoveryInfo
 	ckptEvery   int64
-	ckptBusy    atomic.Bool
+	ckptBusy    atomic.Bool // single-flight for background checkpoints
+	ckptMu      sync.Mutex  // serializes every checkpoint, explicit or background
 	opsSince    atomic.Int64
 	walWG       sync.WaitGroup
 	walClosed   atomic.Bool
